@@ -40,7 +40,6 @@ import (
 	"repro/internal/area"
 	"repro/internal/cliflags"
 	"repro/internal/ecc"
-	"repro/internal/fleet"
 	"repro/internal/mmpu"
 	"repro/internal/pmem"
 	"repro/internal/repair"
@@ -130,8 +129,8 @@ type report struct {
 		Uncorrectable int64 `json:"uncorrectable"`
 		Injected      int64 `json:"injected"`
 	} `json:"served"`
-	LatencyTicks fleet.HistSummary `json:"latency_ticks"`
-	Ticks        int64             `json:"ticks"`
+	LatencyTicks telemetry.HistSummary `json:"latency_ticks"`
+	Ticks        int64                 `json:"ticks"`
 	// ThroughputPerKilotick is served requests per 1000 model ticks —
 	// the deterministic throughput figure of the E9 table.
 	ThroughputPerKilotick float64          `json:"throughput_per_kilotick"`
@@ -152,14 +151,14 @@ type report struct {
 // tenantReport is one tenant's slice of the report: its op counts and
 // latency distribution (P99 is the per-tenant SLO figure E13 sweeps).
 type tenantReport struct {
-	Name                  string            `json:"name"`
-	Requests              int64             `json:"requests"`
-	Reads                 int64             `json:"reads"`
-	Writes                int64             `json:"writes"`
-	Computes              int64             `json:"computes"`
-	Errors                int64             `json:"errors"`
-	ThroughputPerKilotick float64           `json:"throughput_per_kilotick"`
-	LatencyTicks          fleet.HistSummary `json:"latency_ticks"`
+	Name                  string                `json:"name"`
+	Requests              int64                 `json:"requests"`
+	Reads                 int64                 `json:"reads"`
+	Writes                int64                 `json:"writes"`
+	Computes              int64                 `json:"computes"`
+	Errors                int64                 `json:"errors"`
+	ThroughputPerKilotick float64               `json:"throughput_per_kilotick"`
+	LatencyTicks          telemetry.HistSummary `json:"latency_ticks"`
 }
 
 // repairReport is the self-healing block of the report: the active policy

@@ -7,14 +7,14 @@ import (
 	"math/rand"
 
 	"repro/internal/bitmat"
-	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/shifter"
 )
 
 func main() {
 	// A 45×45 memristive crossbar with 15×15 ECC blocks and 2 processing
 	// crossbars — the smallest geometry with a 3×3 grid of blocks.
-	m, err := core.NewProtectedMachine(45, 15, 2)
+	m, err := machine.New(machine.Config{N: 45, M: 15, K: 2, ECCEnabled: true})
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 		corrected, uncorrectable, m.MEM().Get(17, 31) == before)
 
 	// Check bits are themselves memristive and protected too.
-	m.InjectCheckFault(shifter.Leading, 3, 1, 1)
+	m.CMEM().FlipCheckBit(shifter.Leading, 3, 1, 1)
 	corrected, _ = m.Scrub()
 	fmt.Printf("check-bit fault repaired: corrected=%d, consistent=%v\n",
 		corrected, m.CheckConsistent())

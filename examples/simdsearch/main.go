@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/netlist"
 	"repro/internal/synth"
 )
@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("query 0x%03X → matcher: %d NOR gates, %d cycles, SIMD over %d rows\n\n",
 		query, mp.GateCycles, mp.Latency(), n)
 
-	m, err := core.NewProtectedMachine(n, 15, 2)
+	m, err := machine.New(machine.Config{N: n, M: 15, K: 2, ECCEnabled: true})
 	if err != nil {
 		panic(err)
 	}

@@ -68,10 +68,6 @@ func newPC(n int) *ProcessingCrossbar {
 	}
 }
 
-// Cycles returns the total cycles this PC has consumed (both strips run in
-// lockstep, so the leading strip's clock is the PC clock).
-func (pc *ProcessingCrossbar) Cycles() int { return pc.lead.Stats().Cycles }
-
 // CMEM is the simulated check memory for one MEM crossbar.
 type CMEM struct {
 	cfg      Config

@@ -1,9 +1,9 @@
 package ecc
 
 // The Hamming backend of the scheme layer: the conventional horizontal
-// code promoted from the bench-only strawman (hamming.go) to a full
-// scrubbing and correcting Scheme, so the paper's comparison runs through
-// the whole pipeline instead of isolated unit benchmarks.
+// code the paper's introduction dismisses for PIM, as a full scrubbing and
+// correcting Scheme, so the paper's comparison runs through the whole
+// pipeline instead of isolated unit benchmarks.
 //
 // Layout: each M-bit horizontal word of a row is one SEC-DED codeword —
 // word g of row r covers columns [g·M, (g+1)·M), so block (br,bc) contains
@@ -40,6 +40,44 @@ func validateWordGeometry(p Params) error {
 		return fmt.Errorf("ecc: crossbar size n=%d must be a positive multiple of m=%d", p.N, p.M)
 	}
 	return nil
+}
+
+// hammingCheckBits returns the number of check bits for w data bits:
+// smallest r with 2^r ≥ w + r + 1.
+func hammingCheckBits(w int) int {
+	r := 1
+	for (1 << uint(r)) < w+r+1 {
+		r++
+	}
+	return r
+}
+
+// hammingIndex maps data-bit position i (0-based) to its codeword index:
+// the (i+1)-th positive integer that is not a power of two.
+func hammingIndex(i int) int {
+	idx := 0
+	seen := -1
+	for seen < i {
+		idx++
+		if idx&(idx-1) != 0 { // not a power of two
+			seen++
+		}
+	}
+	return idx
+}
+
+// dataPosOf inverts hammingIndex, returning −1 for check positions.
+func dataPosOf(idx int) int {
+	if idx&(idx-1) == 0 {
+		return -1
+	}
+	pos := -1
+	for k := 1; k <= idx; k++ {
+		if k&(k-1) != 0 {
+			pos++
+		}
+	}
+	return pos
 }
 
 // hammingScheme is the SEC-DED state: check[r][g] holds word g's SEC check

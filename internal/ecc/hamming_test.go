@@ -1,12 +1,6 @@
 package ecc
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-
-	"repro/internal/bitmat"
-)
+import "testing"
 
 func TestHammingCheckBitCounts(t *testing.T) {
 	// Classic Hamming parameters: 4 data → 3 check, 11 → 4, 26 → 5, 57 → 6.
@@ -27,108 +21,4 @@ func TestHammingIndexInverse(t *testing.T) {
 			t.Fatalf("dataPosOf(hammingIndex(%d)) = %d", i, got)
 		}
 	}
-}
-
-func TestHammingBuildVerify(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mem := bitmat.NewMat(8, 32)
-	mem.Randomize(rng)
-	h := NewHammingCode(mem, 8)
-	if !h.Verify(mem) {
-		t.Fatal("fresh code does not verify")
-	}
-}
-
-func TestHammingSingleErrorCorrection(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mem := bitmat.NewMat(6, 48)
-		mem.Randomize(rng)
-		h := NewHammingCode(mem, 8)
-		want := mem.Clone()
-		r, c := rng.Intn(6), rng.Intn(48)
-		mem.Flip(r, c)
-		if !h.CorrectWord(mem, r, c/8) {
-			return false
-		}
-		return mem.Equal(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHammingUpdateWriteDelta(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	mem := bitmat.NewMat(4, 64)
-	mem.Randomize(rng)
-	h := NewHammingCode(mem, 16)
-	for i := 0; i < 200; i++ {
-		r, c := rng.Intn(4), rng.Intn(64)
-		mem.Flip(r, c)
-		h.UpdateWrite(r, c)
-	}
-	if !h.Verify(mem) {
-		t.Fatal("delta updates diverged from memory")
-	}
-}
-
-// TestHammingVsDiagonalUpdateCost is the quantitative version of the
-// paper's introduction: under a column-parallel MAGIC operation the
-// Hamming-per-word scheme needs Θ(n·w) data reads to restore its check
-// bits, while the diagonal scheme needs exactly one delta per check bit.
-func TestHammingVsDiagonalUpdateCost(t *testing.T) {
-	const n, w = 1020, 64
-	mem := bitmat.NewMat(4, w) // only used to size the code
-	h := NewHammingCode(mem, w)
-	hammingCost := h.ColParallelUpdateCost(n)
-	if hammingCost != n*w {
-		t.Fatalf("hamming col-parallel cost = %d, want %d", hammingCost, n*w)
-	}
-	d := DiagonalTouchProfile(n)
-	if d.MaxPerCheck != 1 {
-		t.Fatal("diagonal cost should be one delta per check bit")
-	}
-	// The diagonal scheme's total work is one delta per touched check bit
-	// (2n deltas); Hamming needs w/2× more than that.
-	if hammingCost <= 10*2*n {
-		t.Fatalf("hamming cost %d not clearly worse than 2n=%d diagonal deltas", hammingCost, 2*n)
-	}
-}
-
-func TestHammingStorageOverheadComparable(t *testing.T) {
-	// Fairness check for the comparison: at w=64 the Hamming overhead
-	// (7/64 ≈ 11%) is in the same class as the diagonal code's 2/m
-	// (13.3% at m=15) — the difference is update cost, not storage.
-	mem := bitmat.NewMat(1, 1024)
-	h := NewHammingCode(mem, 64)
-	hammingOvh := float64(h.CheckOverheadBits(1024)) / 1024
-	diagOvh := PaperParams().Overhead()
-	if hammingOvh > 2*diagOvh || diagOvh > 2*hammingOvh {
-		t.Fatalf("storage overheads not comparable: hamming %.3f vs diagonal %.3f",
-			hammingOvh, diagOvh)
-	}
-}
-
-func TestHammingCheckBitErrorRepaired(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	mem := bitmat.NewMat(2, 16)
-	mem.Randomize(rng)
-	h := NewHammingCode(mem, 16)
-	h.check[0][0] ^= 0b100 // flip a stored check bit (power-of-two index)
-	if !h.CorrectWord(mem, 0, 0) {
-		t.Fatal("check-bit error not noticed")
-	}
-	if !h.Verify(mem) {
-		t.Fatal("check-bit error not repaired")
-	}
-}
-
-func TestHammingBadWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHammingCode(bitmat.NewMat(2, 10), 4)
 }

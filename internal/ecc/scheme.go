@@ -24,9 +24,8 @@ package ecc
 //   - "diagonal": the paper's code, adapting the word-parallel CheckBits
 //     with zero hot-path change (the cycle-accurate CMEM keeps driving the
 //     same CheckBits math; this adapter is the logical image of it).
-//   - "hamming": horizontal Hamming SEC-DED over M-bit words, promoted
-//     from the bench-only strawman in hamming.go to a full scrubbing and
-//     correcting backend.
+//   - "hamming": horizontal Hamming SEC-DED over M-bit words, a full
+//     scrubbing and correcting backend.
 //   - "parity": one parity bit per M-bit word — the cheap detect-only
 //     baseline.
 

@@ -61,52 +61,40 @@ func (cfg Config) SchemeName() string {
 // (grounded in the cmem pipeline constants): the mapping's own latency,
 // plus with ECC enabled the pre-execution input checks (one block-line
 // check per input block-column, CheckLineMEMCycles each per block row),
-// the per-critical-op old/new transfers (the XOR3 fold runs in the PC
-// pipeline for the diagonal code; generic schemes charge their
-// LineUpdateReads hook), and the post-execution working-region reconcile
-// (every working block-column's check bits rebuilt from the image).
+// the per-critical-op update reads (the scheme's LineUpdateReads hook: the
+// diagonal code's two old/new transfers, its XOR3 fold running in the PC
+// pipeline), and the post-execution working-region reconcile (every
+// working block-column's check bits rebuilt from the image). The
+// configuration must name a registered scheme.
 func (cfg Config) ComputeCost(mp *synth.Mapping) int64 {
 	cost := int64(mp.Latency())
 	if !cfg.ECCEnabled {
 		return cost
 	}
-	m := cfg.M
-	blocks := cfg.N / m
-	inputBlocks := (mp.Netlist.NumInputs() + m - 1) / m
-	upd := int64(cmem.CriticalUpdateMEMCycles)
-	firstBC := mp.Netlist.NumInputs() / m
-	lastBC := (mp.RowSize - 1) / m
-	inputSpan := inputBlocks
-	if cfg.SchemeName() != ecc.SchemeDiagonal {
-		if spec, err := ecc.SchemeByName(cfg.SchemeName()); err == nil {
-			sch := spec.New(ecc.Params{N: cfg.N, M: m}, nil)
-			upd = int64(sch.LineUpdateReads(1))
-			// Striped codes check/reconcile whole column groups, so the
-			// charged spans widen to the scheme's home-column envelope.
-			if inputBlocks > 0 {
-				f, l := sch.HomeColumns(0, inputBlocks-1)
-				inputSpan = l - f + 1
-			}
-			firstBC, lastBC = sch.HomeColumns(firstBC, lastBC)
-		}
+	spec, err := ecc.SchemeByName(cfg.SchemeName())
+	if err != nil {
+		panic(fmt.Sprintf("machine: ComputeCost: %v", err))
 	}
-	cost += int64(inputSpan * blocks * cmem.CheckLineMEMCycles(m))
-	cost += int64(mp.CriticalOps()) * upd
-	cost += int64((lastBC - firstBC + 1) * blocks * cmem.CheckLineMEMCycles(m))
+	m := cfg.M
+	sch := spec.New(ecc.Params{N: cfg.N, M: m}, nil)
+	line := int64(cfg.N / m * cmem.CheckLineMEMCycles(m)) // one block-line check
+	// Striped codes check and reconcile whole column groups, so both spans
+	// widen to the scheme's home-column envelope.
+	if inputBlocks := (mp.Netlist.NumInputs() + m - 1) / m; inputBlocks > 0 {
+		first, last := sch.HomeColumns(0, inputBlocks-1)
+		cost += int64(last-first+1) * line
+	}
+	cost += int64(mp.CriticalOps()) * int64(sch.LineUpdateReads(1))
+	first, last := sch.HomeColumns(mp.Netlist.NumInputs()/m, (mp.RowSize-1)/m)
+	cost += int64(last-first+1) * line
 	return cost
 }
 
 // Machine is one crossbar plus its check memory.
 type Machine struct {
-	cfg Config
-	mem *xbar.Crossbar
-	cm  *cmem.CMEM // diagonal scheme; nil otherwise
-
-	// Non-diagonal schemes run through the generic scheme layer: sch holds
-	// the live check-bit state, spec rebuilds it (heal / consistency).
-	sch  ecc.Scheme
-	spec ecc.SchemeSpec
-	ones *bitmat.Vec // all-columns mask for whole-row delta updates
+	cfg  Config
+	mem  *xbar.Crossbar
+	prot protector // the protection code (see protect.go); nil = baseline
 
 	// statistics
 	criticalOps   int
@@ -194,17 +182,7 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("machine: %w", err)
 	}
 	if cfg.ECCEnabled {
-		if cfg.SchemeName() == ecc.SchemeDiagonal {
-			if err := (cmem.Config{N: cfg.N, M: cfg.M, K: cfg.K}).Validate(); err != nil {
-				return fmt.Errorf("machine: %w", err)
-			}
-			return nil
-		}
-		spec, err := ecc.SchemeByName(cfg.SchemeName())
-		if err != nil {
-			return fmt.Errorf("machine: %w", err)
-		}
-		if err := spec.Validate(ecc.Params{N: cfg.N, M: cfg.M}); err != nil {
+		if err := cfg.validateProtection(); err != nil {
 			return fmt.Errorf("machine: %w", err)
 		}
 	}
@@ -222,17 +200,8 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Repair.Enabled() {
 		m.rt = repair.NewTable(cfg.Repair, cfg.N)
 	}
-	if cfg.ECCEnabled {
-		if cfg.SchemeName() == ecc.SchemeDiagonal {
-			m.cm = cmem.New(cmem.Config{N: cfg.N, M: cfg.M, K: cfg.K})
-			m.updateReads = 2 // the diagonal code's Θ(1) old/new copy per line
-		} else {
-			m.spec, _ = ecc.SchemeByName(cfg.SchemeName()) // validated above
-			m.sch = m.spec.New(ecc.Params{N: cfg.N, M: cfg.M}, nil)
-			m.ones = bitmat.NewVec(cfg.N)
-			m.ones.Fill(true)
-			m.updateReads = int64(m.sch.LineUpdateReads(1))
-		}
+	if m.prot = newProtector(cfg, m.mem); m.prot != nil {
+		m.updateReads = int64(m.prot.lineUpdateReads())
 	}
 	return m, nil
 }
@@ -252,40 +221,26 @@ func (m *Machine) Config() Config { return m.cfg }
 // MEM exposes the data crossbar (for inspection and fault injection).
 func (m *Machine) MEM() *xbar.Crossbar { return m.mem }
 
-// CMEM exposes the check memory, or nil for a baseline machine or a
-// non-diagonal scheme.
-func (m *Machine) CMEM() *cmem.CMEM { return m.cm }
-
-// Scheme exposes the live generic scheme state, or nil for a baseline or
-// diagonal (CMEM-backed) machine.
-func (m *Machine) Scheme() ecc.Scheme { return m.sch }
-
 // Protected reports whether any protection code is active.
-func (m *Machine) Protected() bool { return m.cm != nil || m.sch != nil }
+func (m *Machine) Protected() bool { return m.prot != nil }
 
 // ECCImage returns a snapshot of the logical check-bit state as an
 // ecc.Scheme — the input scheme-generic consumers (above all the fault
 // campaign's bit-serial reference decoder) diagnose against. Nil for a
 // baseline machine.
 func (m *Machine) ECCImage() ecc.Scheme {
-	switch {
-	case m.cm != nil:
-		return ecc.DiagonalFromCheckBits(m.cm.Image())
-	case m.sch != nil:
-		return m.sch.Clone()
+	if m.prot == nil {
+		return nil
 	}
-	return nil
+	return m.prot.image()
 }
 
 // RebuildChecks re-establishes the whole check-bit state from the current
 // memory image — the controller path for freshly (re)programmed data. A
 // no-op on a baseline machine.
 func (m *Machine) RebuildChecks() {
-	switch {
-	case m.cm != nil:
-		m.cm.LoadFrom(m.mem.Mat())
-	case m.sch != nil:
-		m.sch = m.spec.New(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat())
+	if m.prot != nil {
+		m.prot.rebuild()
 	}
 }
 
@@ -362,14 +317,8 @@ func (m *Machine) LoadRow(r int, v *bitmat.Vec) error {
 	}
 	old := m.mem.Mat().Row(r).Clone()
 	m.mem.WriteRow(r, v)
-	if m.cm != nil {
-		m.cm.UpdateCritical(0, cmem.CriticalUpdate{
-			Orientation: shifter.ColParallel, Index: r, Old: old, New: v.Clone(),
-		})
-	} else if m.sch != nil {
-		m.sch.UpdateRowWrite(r, old, m.mem.Mat().Row(r), m.ones)
-	}
-	if m.Protected() {
+	if m.prot != nil {
+		m.prot.writeRow(r, old, m.mem.Mat().Row(r))
 		m.tel.UpdateReads.Add(m.updateReads)
 	}
 	if m.defects != nil {
@@ -400,28 +349,11 @@ func (m *Machine) UpdateRow(r int, mutate func(*bitmat.Vec) bool) (bool, error) 
 // InjectDataFault flips a memristor in MEM — a soft error.
 func (m *Machine) InjectDataFault(r, c int) { m.mem.Flip(r, c) }
 
-// InjectCheckFault flips a stored check bit (ECC state is memristive
-// too). Family/diagonal addressing is specific to the diagonal code, so
-// this is a CMEM-only path.
-func (m *Machine) InjectCheckFault(f shifter.Family, d, br, bc int) {
-	if m.cm == nil {
-		panic("machine: check-bit injection needs the diagonal CMEM")
-	}
-	m.cm.FlipCheckBit(f, d, br, bc)
-}
-
 // CheckConsistent reports whether the stored check-bit state matches a
 // from-scratch rebuild over the current memory image (true for a healthy
 // machine) — the machine-level Verify, scheme-generic.
 func (m *Machine) CheckConsistent() bool {
-	switch {
-	case m.cm != nil:
-		want := ecc.Build(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat())
-		return m.cm.Image().Equal(want)
-	case m.sch != nil:
-		return m.sch.Equal(m.spec.New(ecc.Params{N: m.cfg.N, M: m.cfg.M}, m.mem.Mat()))
-	}
-	return true
+	return m.prot == nil || m.prot.consistent()
 }
 
 // Finding is one non-clean block from a detailed scrub: its block
@@ -444,32 +376,15 @@ func (f Finding) DataCell(m int) (r, c int) {
 // matches against injected faults. Single errors are corrected in place;
 // uncorrectable blocks are flagged untouched.
 func (m *Machine) ScrubFindings() []Finding {
-	if !m.Protected() {
+	if m.prot == nil {
 		return nil
 	}
 	var out []Finding
-	blocks := m.cfg.N / m.cfg.M
-	for br := 0; br < blocks; br++ {
-		if m.sch != nil {
-			// Generic scheme path: per-block check-and-correct. A scheme
-			// with sub-block structure (Hamming words) may report several
-			// findings for one block, in the scheme's deterministic order.
-			for bc := 0; bc < blocks; bc++ {
-				for _, d := range m.sch.CorrectBlock(m.mem.Mat(), br, bc) {
-					m.tallyDiag(d)
-					out = append(out, Finding{BR: br, BC: bc, Diag: d})
-				}
-			}
-			continue
-		}
-		diags := m.cm.CheckLine(m.mem, shifter.ColParallel, br, br%m.cfg.K)
-		for bc := 0; bc < blocks; bc++ { // map iteration would be nondeterministic
-			d, ok := diags[bc]
-			if !ok {
-				continue
-			}
-			m.tallyDiag(d)
-			out = append(out, Finding{BR: br, BC: bc, Diag: d})
+	for br := 0; br < m.cfg.N/m.cfg.M; br++ {
+		n := len(out)
+		out = m.prot.checkLine(shifter.ColParallel, br, out)
+		for _, f := range out[n:] {
+			m.tallyDiag(f)
 		}
 	}
 	if m.rt != nil {
@@ -488,19 +403,20 @@ func (m *Machine) ScrubFindings() []Finding {
 	return out
 }
 
-// tallyDiag bumps the correction counters for one non-clean diagnosis
-// (and mirrors it into the telemetry layer when probes are attached).
-func (m *Machine) tallyDiag(d ecc.Diagnosis) {
-	if d.Kind == ecc.Uncorrectable {
+// tallyDiag bumps the correction counters for one non-clean finding (and
+// mirrors it into the telemetry layer, as an event carrying the block
+// coordinates, when probes are attached).
+func (m *Machine) tallyDiag(f Finding) {
+	if f.Diag.Kind == ecc.Uncorrectable {
 		m.uncorrectable++
 		m.tel.Uncorrectable.Inc()
 		m.tel.Events.Emit(telemetry.EvDetection, int64(m.mem.Stats().Cycles),
-			m.tel.Bank, m.tel.Xbar, int64(d.LR), int64(d.LC))
-	} else if d.Kind != ecc.NoError {
+			m.tel.Bank, m.tel.Xbar, int64(f.BR), int64(f.BC))
+	} else if f.Diag.Kind != ecc.NoError {
 		m.corrections++
 		m.tel.Corrections.Inc()
 		m.tel.Events.Emit(telemetry.EvCorrection, int64(m.mem.Stats().Cycles),
-			m.tel.Bank, m.tel.Xbar, int64(d.LR), int64(d.LC))
+			m.tel.Bank, m.tel.Xbar, int64(f.BR), int64(f.BC))
 	}
 }
 
@@ -531,46 +447,30 @@ func (m *Machine) ExecuteSIMD(mp *synth.Mapping, rows *bitmat.Vec) error {
 	if mp.RowSize > m.cfg.N {
 		return fmt.Errorf("machine: mapping needs %d cells, crossbar row has %d", mp.RowSize, m.cfg.N)
 	}
-	if m.Protected() {
-		inputBlocks := (mp.Netlist.NumInputs() + m.cfg.M - 1) / m.cfg.M
-		if m.sch != nil && inputBlocks > 0 {
-			// Generic scheme path: check (and correct) every code unit
-			// covering the input columns. Units are addressed by home
-			// block; striped codes home the covering units across the
-			// whole enclosing column group, so the sweep must go through
-			// HomeColumns — checking only the input block-columns would
-			// miss units whose home lies beyond them.
-			first, last := m.sch.HomeColumns(0, inputBlocks-1)
-			for bc := first; bc <= last; bc++ {
-				m.inputChecks++
-				m.tel.InputChecks.Inc()
-				for br := 0; br < m.cfg.N/m.cfg.M; br++ {
-					for _, d := range m.sch.CorrectBlock(m.mem.Mat(), br, bc) {
-						m.tallyDiag(d)
-					}
-				}
-			}
-		} else if m.cm != nil {
-			for bc := 0; bc < inputBlocks; bc++ {
-				m.inputChecks++
-				m.tel.InputChecks.Inc()
-				diags := m.cm.CheckLine(m.mem, shifter.RowParallel, bc, bc%m.cfg.K)
-				for _, d := range diags {
-					m.tallyDiag(d)
-				}
+	if inputBlocks := (mp.Netlist.NumInputs() + m.cfg.M - 1) / m.cfg.M; m.prot != nil && inputBlocks > 0 {
+		// Check (and correct) every code unit covering the input columns.
+		// Units are addressed by home block; striped codes home the
+		// covering units across the whole enclosing column group, so the
+		// sweep goes through homeColumns — checking only the input
+		// block-columns would miss units whose home lies beyond them.
+		first, last := m.prot.homeColumns(0, inputBlocks-1)
+		for bc := first; bc <= last; bc++ {
+			m.inputChecks++
+			m.tel.InputChecks.Inc()
+			for _, f := range m.prot.checkLine(shifter.RowParallel, bc, nil) {
+				m.tallyDiag(f)
 			}
 		}
 	}
 
-	pc := 0
 	for _, s := range mp.Steps {
 		switch s.Kind {
 		case synth.StepInit:
 			m.mem.InitColumnsInRows(s.Init, rows)
 		case synth.StepConst:
-			m.writeColumn(s.Cell, s.Value, rows, s.Critical, &pc)
+			m.writeColumn(s.Cell, s.Value, rows, s.Critical)
 		case synth.StepGate:
-			m.gate(s, rows, &pc)
+			m.gate(s, rows)
 		}
 	}
 	m.reconcileWorkingRegion(mp)
@@ -586,40 +486,20 @@ func (m *Machine) ExecuteSIMD(mp *synth.Mapping, rows *bitmat.Vec) error {
 // the region is treated as protected data again. Output blocks were kept
 // in sync by the critical protocol; recomputing them is idempotent.
 func (m *Machine) reconcileWorkingRegion(mp *synth.Mapping) {
-	if !m.Protected() {
+	if m.prot == nil {
 		return
 	}
-	firstBC := mp.Netlist.NumInputs() / m.cfg.M
-	lastBC := (mp.RowSize - 1) / m.cfg.M
-	if m.sch != nil {
-		// Every unit whose coverage intersects the working columns is
-		// stale and must be rebuilt; HomeColumns names exactly those
-		// units' home blocks. For striped codes this widens the sweep to
-		// the enclosing column group — a unit straddling the region
-		// boundary has no narrower sound rebuild (the scheme docs note
-		// that scratch regions are best allocated group-aligned).
-		firstBC, lastBC = m.sch.HomeColumns(firstBC, lastBC)
-		for bc := firstBC; bc <= lastBC; bc++ {
-			for br := 0; br < m.cfg.N/m.cfg.M; br++ {
-				m.sch.RebuildBlock(m.mem.Mat(), br, bc)
-			}
-		}
-		return
-	}
-	p := ecc.Params{N: m.cfg.N, M: m.cfg.M}
-	want := ecc.Build(p, m.mem.Mat())
-	for bc := firstBC; bc <= lastBC; bc++ {
-		for br := 0; br < p.BlocksPerSide(); br++ {
-			for d := 0; d < m.cfg.M; d++ {
-				m.cm.SetCheckBit(shifter.Leading, d, br, bc, want.Lead(d, br, bc))
-				m.cm.SetCheckBit(shifter.Counter, d, br, bc, want.Counter(d, br, bc))
-			}
-		}
-	}
+	// Every unit whose coverage intersects the working columns is stale
+	// and must be rebuilt; homeColumns names exactly those units' home
+	// blocks. For striped codes this widens the sweep to the enclosing
+	// column group — a unit straddling the region boundary has no narrower
+	// sound rebuild (the scheme docs note that scratch regions are best
+	// allocated group-aligned).
+	m.prot.rebuildColumns(m.prot.homeColumns(mp.Netlist.NumInputs()/m.cfg.M, (mp.RowSize-1)/m.cfg.M))
 }
 
 // gate executes one (possibly critical) MAGIC step.
-func (m *Machine) gate(s synth.Step, rows *bitmat.Vec, pc *int) {
+func (m *Machine) gate(s synth.Step, rows *bitmat.Vec) {
 	critical := s.Critical && m.Protected()
 	var old *bitmat.Vec
 	if critical {
@@ -634,36 +514,21 @@ func (m *Machine) gate(s synth.Step, rows *bitmat.Vec, pc *int) {
 	if critical {
 		newCol := m.mem.Mat().Col(s.Cell)
 		m.mem.Tick() // copy-new transfer occupies MEM
-		m.criticalUpdate(shifter.RowParallel, s.Cell, old, newCol, rows, pc)
+		m.criticalUpdate(s.Cell, old, newCol, rows)
 	}
 }
 
-// criticalUpdate commits one critical operation's check-bit delta through
-// the active backend: the CMEM's pipelined XOR3 protocol for the diagonal
-// code, the scheme's masked line-delta update otherwise. sel is the
-// row/column selection mask of the parallel operation.
-func (m *Machine) criticalUpdate(o shifter.Orientation, index int, old, cur, sel *bitmat.Vec, pc *int) {
-	if m.cm != nil {
-		m.cm.UpdateCritical(*pc, cmem.CriticalUpdate{
-			Orientation: o, Index: index, Old: old, New: cur,
-		})
-	} else if o == shifter.RowParallel {
-		m.sch.UpdateColumnWrite(index, old, cur, sel)
-	} else {
-		m.sch.UpdateRowWrite(index, old, cur, sel)
-	}
+// criticalUpdate commits one critical operation's check-bit delta: column
+// c changed from old to cur in the rows selected by rows.
+func (m *Machine) criticalUpdate(c int, old, cur, rows *bitmat.Vec) {
+	m.prot.writeColumn(c, old, cur, rows)
 	m.criticalOps++
 	m.tel.CriticalOps.Inc()
 	m.tel.UpdateReads.Add(m.updateReads)
-	if m.cfg.K > 1 {
-		*pc = (*pc + 1) % m.cfg.K
-	} else {
-		*pc = 0 // generic schemes don't require processing crossbars
-	}
 }
 
 // writeColumn drives a constant into column c of every selected row.
-func (m *Machine) writeColumn(c int, v bool, rows *bitmat.Vec, criticalStep bool, pc *int) {
+func (m *Machine) writeColumn(c int, v bool, rows *bitmat.Vec, criticalStep bool) {
 	critical := criticalStep && m.Protected()
 	var old *bitmat.Vec
 	if critical {
@@ -677,7 +542,7 @@ func (m *Machine) writeColumn(c int, v bool, rows *bitmat.Vec, criticalStep bool
 	if critical {
 		newCol := m.mem.Mat().Col(c)
 		m.mem.Tick()
-		m.criticalUpdate(shifter.RowParallel, c, old, newCol, rows, pc)
+		m.criticalUpdate(c, old, newCol, rows)
 	}
 }
 

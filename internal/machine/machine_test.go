@@ -9,6 +9,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/shifter"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 var testCfg = Config{N: 45, M: 15, K: 2, ECCEnabled: true}
@@ -90,6 +91,9 @@ func TestBaselineMachineAlsoComputes(t *testing.T) {
 	checkAllRows(t, m, mp, inputs)
 	if m.CMEM() != nil {
 		t.Fatal("baseline machine should have no CMEM")
+	}
+	if c, u := m.Scrub(); c != 0 || u != 0 {
+		t.Fatalf("baseline scrub = (%d, %d), want a no-op", c, u)
 	}
 }
 
@@ -174,11 +178,52 @@ func TestScrubRepairsIdleData(t *testing.T) {
 	}
 }
 
+// TestFindingEventsCarryBlocksInOrder: correction events name the block
+// of the finding (A = block row, B = block column) and arrive in block
+// order, from the scrub and from the pre-execution input check alike. The
+// two faults sit at the same in-block cell row of two blocks of input
+// block-column 0, so an in-block payload could not tell them apart; the
+// runs repeat because a check that reported one line's findings in map
+// order would only sometimes swap them.
+func TestFindingEventsCarryBlocksInOrder(t *testing.T) {
+	mp := adder8(t)
+	want := []telemetry.Event{
+		{Kind: telemetry.EvCorrection, A: 1, B: 0},
+		{Kind: telemetry.EvCorrection, A: 2, B: 0},
+	}
+	for _, scheme := range []string{ecc.SchemeDiagonal, ecc.SchemeHamming} {
+		for _, scrub := range []bool{true, false} {
+			for run := 0; run < 20; run++ {
+				cfg := testCfg
+				cfg.Scheme = scheme
+				m := MustNew(cfg)
+				loadRandomInputs(t, m, mp, 21)
+				reg := telemetry.New()
+				m.Instrument(TelemetryFor(reg, scheme))
+				m.InjectDataFault(1*15+5, 3)
+				m.InjectDataFault(2*15+5, 7)
+				if scrub {
+					m.Scrub()
+				} else if err := m.ExecuteSIMD(mp, m.MEM().AllRows()); err != nil {
+					t.Fatal(err)
+				}
+				var got []telemetry.Event
+				for _, e := range reg.Events().Recent(0) {
+					got = append(got, telemetry.Event{Kind: e.Kind, A: e.A, B: e.B})
+				}
+				if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+					t.Fatalf("%s scrub=%v run %d: events %+v, want %+v", scheme, scrub, run, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestScrubRepairsCheckBitFault(t *testing.T) {
 	m := MustNew(testCfg)
 	mp := adder8(t)
 	loadRandomInputs(t, m, mp, 6)
-	m.InjectCheckFault(shifter.Leading, 4, 1, 2)
+	m.CMEM().FlipCheckBit(shifter.Leading, 4, 1, 2)
 	corrected, unc := m.Scrub()
 	if corrected != 1 || unc != 0 {
 		t.Fatalf("scrub: corrected=%d uncorrectable=%d", corrected, unc)
@@ -310,7 +355,7 @@ func TestConsistencyIsNontrivial(t *testing.T) {
 	if !m.CheckConsistent() {
 		t.Fatal("fresh machine inconsistent")
 	}
-	m.InjectCheckFault(shifter.Counter, 0, 0, 0)
+	m.CMEM().FlipCheckBit(shifter.Counter, 0, 0, 0)
 	if m.CheckConsistent() {
 		t.Fatal("CheckConsistent missed an injected inconsistency")
 	}

@@ -7,11 +7,11 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/circuits"
-	"repro/internal/fleet"
 	"repro/internal/machine"
 	"repro/internal/netlist"
 	"repro/internal/pmem"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 // ComputePlan is a prepared SIMD compute pipeline: a SIMPLER mapping plus
@@ -194,7 +194,7 @@ type TenantStats struct {
 	Writes   int64
 	Computes int64
 	Errors   int64
-	Lat      fleet.Hist // same time base as Stats.Lat
+	Lat      telemetry.Hist // same time base as Stats.Lat
 }
 
 // mergeTenants combines index-aligned per-tenant tallies field-wise.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/mmpu"
 	"repro/internal/pmem"
 )
@@ -40,6 +41,36 @@ func TestComputeKernels(t *testing.T) {
 	}
 	if _, err := BuildComputePlan("no-such-kernel", 90, 1); err == nil {
 		t.Fatal("unknown kernel accepted")
+	}
+}
+
+// TestComputeCostPerScheme pins machine.Config.ComputeCost, the modeled
+// per-plan cost both admission budgets charge, for the search kernel at
+// m=15, K=2 under every registered scheme. Delta-update codes cost the
+// same; word-recode codes pay M reads per critical op instead of 2; the
+// interleaved codes widen the input check and the reconcile to whole
+// column groups.
+func TestComputeCostPerScheme(t *testing.T) {
+	cases := []struct {
+		n    int
+		want map[string]int64
+	}{
+		{45, map[string]int64{"diagonal": 213, "parity": 213, "hamming": 226, "dec": 226, "": 31}},
+		{60, map[string]int64{"diagonal": 333, "parity": 333, "hamming": 346, "dec": 346,
+			"diagonal-x2": 393, "diagonal-x4": 513}},
+	}
+	for _, tc := range cases {
+		plan, err := BuildComputePlan("search", tc.n, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for scheme, want := range tc.want {
+			// The empty name stands for the unprotected baseline.
+			cfg := machine.Config{N: tc.n, M: 15, K: 2, ECCEnabled: scheme != "", Scheme: scheme}
+			if got := cfg.ComputeCost(plan.Mapping); got != want {
+				t.Errorf("n=%d scheme %q: ComputeCost = %d, want %d", tc.n, scheme, got, want)
+			}
+		}
 	}
 }
 

@@ -171,7 +171,7 @@ func TestReplayClosedLoopLatencyCoversWait(t *testing.T) {
 
 // TestReplayResultMergeOrderIndependent: Result merging (used to fold
 // per-worker shards and to combine runs) is commutative — the shared
-// property the latency histograms inherit from fleet.Hist.
+// property the latency histograms inherit from telemetry.Hist.
 func TestReplayResultMergeOrderIndependent(t *testing.T) {
 	a := replayOnce(t, 2, TraceOpts{Mode: "open", Requests: 500, Seed: 1}, ReplayConfig{})
 	b := replayOnce(t, 3, TraceOpts{Mode: "open", Mix: "scan", Requests: 700, Width: 32, Seed: 2}, ReplayConfig{ScrubPeriod: 100})

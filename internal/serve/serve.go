@@ -20,7 +20,7 @@
 // pmem's per-bank locks, not worker ownership, are the safety boundary.
 //
 // Latency is accounted per request (submit to response) into a mergeable
-// fleet.Hist. For the deterministic virtual-time counterpart used by
+// telemetry.Hist. For the deterministic virtual-time counterpart used by
 // cmd/loadgen, see Replay.
 package serve
 
@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/mmpu"
 	"repro/internal/pmem"
 	"repro/internal/telemetry"
@@ -75,9 +74,6 @@ type Response struct {
 // queues under, so a racing Submit either enqueues before the close or
 // returns this error — it can never send on a closed queue.
 var ErrServerClosed = errors.New("serve: server closed")
-
-// ErrClosed is the historical name of ErrServerClosed.
-var ErrClosed = ErrServerClosed
 
 // Config sizes a server.
 type Config struct {
@@ -142,7 +138,7 @@ type Stats struct {
 	Uncorrectable int64
 	Injected      int64 // fault-overlay flips (Replay only)
 
-	Lat fleet.Hist // live server: wall nanoseconds; Replay: model ticks
+	Lat telemetry.Hist // live server: wall nanoseconds; Replay: model ticks
 }
 
 // Merge returns the field-wise combination of two stats.
@@ -302,7 +298,7 @@ func (s *Server) Submit(req Request) (<-chan Response, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return nil, ErrServerClosed
 	}
 	s.queues[s.bankWorker[bank]] <- c
 	return c.resp, nil
@@ -329,7 +325,7 @@ func (s *Server) Write(addr int64, width int, data uint64) error {
 }
 
 // Close drains the queues, stops the workers, and returns the merged
-// service statistics. Further submissions fail with ErrClosed.
+// service statistics. Further submissions fail with ErrServerClosed.
 func (s *Server) Close() Stats {
 	s.mu.Lock()
 	if !s.closed {

@@ -173,8 +173,8 @@ func TestServerValidatesRequests(t *testing.T) {
 	if st.Errors != 2 {
 		t.Fatalf("error tally = %d, want 2", st.Errors)
 	}
-	if _, err := srv.Submit(Request{Op: OpRead, Addr: 0, Width: 8}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close submit error = %v, want ErrClosed", err)
+	if _, err := srv.Submit(Request{Op: OpRead, Addr: 0, Width: 8}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("post-close submit error = %v, want ErrServerClosed", err)
 	}
 	if st2 := srv.Close(); st2.Requests != st.Requests {
 		t.Fatal("second Close diverged")

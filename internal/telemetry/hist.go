@@ -12,15 +12,14 @@ const histSub = 8
 // histSub log-linear buckets for each of the 60 remaining octaves.
 const histBuckets = histSub + histSub*(63-3)
 
-// Hist is a mergeable log-linear histogram — promoted here from the
-// fleet's latency accounting (fleet.Hist is now an alias) so one
-// implementation backs shard results, replay latency digests, and
-// registry Histograms: observations are pure counts, Merge is
-// commutative and associative, and quantiles are a deterministic
-// function of the merged counts — so per-shard histograms combine into
-// the same distribution under any worker count and any merge order.
-// The zero Hist is empty and ready to use. It is a single-writer value
-// type; for concurrent observation use Registry.Histogram.
+// Hist is a mergeable log-linear histogram — one implementation backs
+// shard results, replay latency digests, and registry Histograms:
+// observations are pure counts, Merge is commutative and associative,
+// and quantiles are a deterministic function of the merged counts — so
+// per-shard histograms combine into the same distribution under any
+// worker count and any merge order. The zero Hist is empty and ready to
+// use. It is a single-writer value type; for concurrent observation use
+// Registry.Histogram.
 type Hist struct {
 	N       int64 // observations
 	Sum     int64 // sum of observed values
