@@ -1,14 +1,15 @@
-// Package fleet executes workloads across a fleet of protected crossbar
-// machines organized as a full mMPU (internal/mmpu): the paper evaluates
-// its diagonal-ECC mechanism at the scale of a 1GB memory built from
-// thousands of n×n crossbars (Fig 6), and this package is the engine that
-// actually runs multi-bank traffic against that organization.
+// Package fleet plans and runs workloads across a protected memory
+// organized as a full mMPU (internal/mmpu): the paper evaluates its
+// diagonal-ECC mechanism at the scale of a 1GB memory built from
+// thousands of n×n crossbars (Fig 6), and this package drives multi-bank
+// traffic against that organization.
 //
-// Execution is sharded per bank: banks are partitioned across workers
-// (mmpu.ShardBanks), one goroutine per shard, each owning every crossbar
-// of its banks — so no machine is ever shared between goroutines and no
-// locking is needed. Job batches flow to shards over channels; each shard
-// tallies a local Result and the engine merges them.
+// A run executes over one pmem.Memory, which owns, builds and instruments
+// every crossbar machine. The plan is split by shard: banks are
+// partitioned across workers (mmpu.ShardBanks), and one goroutine per
+// shard walks its slice of the plan in plan order, so each crossbar is
+// only ever touched by one goroutine and its bank lock is uncontended.
+// Each shard tallies a local Result and the engine merges them.
 //
 // Determinism is a hard guarantee: a Workload's plan is a pure function of
 // (organization, seed), per-crossbar randomness comes from seeds derived
@@ -29,6 +30,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mmpu"
 	"repro/internal/netlist"
+	"repro/internal/pmem"
 	"repro/internal/repair"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -49,20 +51,20 @@ type Config struct {
 	// fleet (write-verify, spare remap, retirement); the zero value is off.
 	Repair repair.Config
 
-	Workers   int   // shard count; <=0 uses GOMAXPROCS, capped at Banks
-	Seed      int64 // campaign base seed
-	BatchSize int   // jobs per channel send; <=0 uses 16
+	Workers int   // shard count; <=0 uses GOMAXPROCS, capped at Banks
+	Seed    int64 // campaign base seed
 
 	// KernelWidth selects the SIMD kernel: a ripple-carry adder of this
 	// width, SIMPLER-mapped into one crossbar row. <=0 uses 8 bits (fits
 	// the 45-cell minimum geometry).
 	KernelWidth int
 
-	// Telemetry, when non-nil, receives the fleet series (per-bank job
-	// counters, scrub/correction/injection totals, campaign outcome
-	// counters) and instruments every lazily created machine with its
-	// per-scheme ECC probes. Because all updates commute, the resulting
-	// snapshot — like the Result — is identical for every worker count.
+	// Telemetry, when non-nil, instruments the run's memory (pmem's
+	// per-bank scrub, compute and injection series and every machine's
+	// per-scheme ECC probes) and receives what only the planner sees:
+	// per-bank job counters and campaign round and outcome counters.
+	// Because all updates commute, the resulting snapshot — like the
+	// Result — is identical for every worker count.
 	Telemetry *telemetry.Registry
 }
 
@@ -83,11 +85,6 @@ func (c Config) EffectiveWorkers() int {
 	return w
 }
 
-// machineConfig is the per-crossbar machine geometry.
-func (c Config) machineConfig() machine.Config {
-	return machine.Config{N: c.Org.CrossbarN, M: c.M, K: c.K, ECCEnabled: c.ECCEnabled, Scheme: c.Scheme, Repair: c.Repair}
-}
-
 // AdderKernel builds the fleet's SIMD kernel: a width-bit ripple-carry
 // adder lowered to NOR and SIMPLER-mapped into a rowSize-cell row.
 func AdderKernel(width, rowSize int) (*synth.Mapping, error) {
@@ -104,27 +101,16 @@ func AdderKernel(width, rowSize int) (*synth.Mapping, error) {
 	return synth.Map(b.Build().LowerToNOR(), rowSize)
 }
 
-// xbarState is a worker's lazily-created per-crossbar execution state.
-// The machine and the campaign runner are each created on first use, so a
-// campaign-only job stream does not pay for an idle protected machine and
-// vice versa.
+// xbarState is a shard's per-crossbar planning state: the random streams
+// the plan's ops draw from and the campaign runner. The crossbar's
+// machine lives in the memory, built on first touch; the campaign runner
+// is created on first use, so a campaign-only job stream builds no
+// memory machine and vice versa.
 type xbarState struct {
 	bank, xb int
-	m        *machine.Machine
-	inj      *faults.Injector  // fault-burst stream, seeded per crossbar
-	rng      *rand.Rand        // load-pattern stream, seeded per crossbar
-	camp     *campaign.Runner  // fault-campaign conformance state
-	tel      machine.Telemetry // attached at machine creation (zero = off)
-}
-
-// machine returns the crossbar's machine, creating it on first use. mcfg
-// was validated in Run, so MustNew cannot panic here.
-func (st *xbarState) machine(mcfg machine.Config) *machine.Machine {
-	if st.m == nil {
-		st.m = machine.MustNew(mcfg)
-		st.m.Instrument(st.tel)
-	}
-	return st.m
+	inj      *faults.Injector // fault-burst stream, seeded per crossbar
+	rng      *rand.Rand       // load-pattern stream, seeded per crossbar
+	camp     *campaign.Runner // fault-campaign conformance state
 }
 
 // runner returns the crossbar's campaign runner, creating it on first use
@@ -150,13 +136,11 @@ func (st *xbarState) runner(cfg Config, mcfg machine.Config, op Op) *campaign.Ru
 // result. With the same configuration, workload, and seed the Result is
 // identical for every worker count.
 func Run(cfg Config, w Workload) (Result, error) {
-	if err := cfg.Org.Validate(); err != nil {
+	mem, err := pmem.New(pmem.Config{Org: cfg.Org, M: cfg.M, K: cfg.K, ECCEnabled: cfg.ECCEnabled, Scheme: cfg.Scheme, Repair: cfg.Repair})
+	if err != nil {
 		return Result{}, err
 	}
-	mcfg := cfg.machineConfig()
-	if err := mcfg.Validate(); err != nil {
-		return Result{}, err
-	}
+	mcfg := mem.MachineConfig()
 	width := cfg.KernelWidth
 	if width <= 0 {
 		width = 8
@@ -195,85 +179,63 @@ func Run(cfg Config, w Workload) (Result, error) {
 		}
 	}
 
-	workers := cfg.EffectiveWorkers()
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 16
-	}
+	mem.Instrument(cfg.Telemetry)
 
-	// bankShard maps each bank to the one shard that owns it.
+	// Split the plan by owning shard, keeping plan order: all of a bank's
+	// jobs land in one shard, so each crossbar's jobs run in plan order.
+	workers := cfg.EffectiveWorkers()
+	plans := make([][]Job, workers)
 	bankShard := make([]int, cfg.Org.Banks)
 	for s, banks := range cfg.Org.ShardBanks(workers) {
 		for _, b := range banks {
 			bankShard[b] = s
 		}
 	}
+	for _, j := range jobs {
+		plans[bankShard[j.Bank]] = append(plans[bankShard[j.Bank]], j)
+	}
 
-	chans := make([]chan []Job, workers)
 	results := make([]Result, workers)
 	tel := fleetProbesFor(cfg.Telemetry, cfg.Org.Banks)
 	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		chans[s] = make(chan []Job, 4)
+	for s, plan := range plans {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			results[s] = runShard(cfg, mcfg, kernel, chans[s], tel)
-		}(s)
-	}
-
-	// Feed job batches to the owning shards in plan order, preserving
-	// per-crossbar ordering (all of a bank's jobs go to one shard).
-	pending := make([][]Job, workers)
-	for _, j := range jobs {
-		s := bankShard[j.Bank]
-		pending[s] = append(pending[s], j)
-		if len(pending[s]) >= batch {
-			chans[s] <- pending[s]
-			pending[s] = nil
-		}
-	}
-	for s := 0; s < workers; s++ {
-		if len(pending[s]) > 0 {
-			chans[s] <- pending[s]
-		}
-		close(chans[s])
+			results[s] = runShard(cfg, mcfg, kernel, mem, plan, tel)
+		}()
 	}
 	wg.Wait()
 
-	total := Result{Scenario: w.Name(), PerBank: make([]BankTally, cfg.Org.Banks)}
+	total := Result{Scenario: w.Name(), PerBank: make([]BankTally, cfg.Org.Banks), Machine: mem.Stats()}
 	for _, r := range results {
 		total = total.Merge(r)
 	}
 	return total, nil
 }
 
-// runShard owns a subset of banks: it executes every job batch sent to it,
-// creating machines lazily, and tallies a shard-local result.
-func runShard(cfg Config, mcfg machine.Config, kernel *synth.Mapping, in <-chan []Job, tel fleetProbes) Result {
+// runShard executes one shard's slice of the plan over the shared memory
+// and tallies a shard-local result.
+func runShard(cfg Config, mcfg machine.Config, kernel *synth.Mapping, mem *pmem.Memory, jobs []Job, tel fleetProbes) Result {
 	res := Result{PerBank: make([]BankTally, cfg.Org.Banks)}
 	states := make(map[int]*xbarState)
-	for batch := range in {
-		for _, job := range batch {
-			id := cfg.Org.CrossbarID(job.Bank, job.Crossbar)
-			st := states[id]
-			if st == nil {
-				st = &xbarState{
-					bank: job.Bank, xb: job.Crossbar,
-					inj: faults.NewInjector(0, faults.DeriveSeed(cfg.Seed, job.Bank, job.Crossbar)),
-					rng: rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed^0x10ad, job.Bank, job.Crossbar))),
-					tel: machineTelemetry(cfg.Telemetry, cfg, job.Bank, job.Crossbar),
-				}
-				states[id] = st
+	allRows := bitmat.NewVec(cfg.Org.CrossbarN)
+	allRows.Fill(true)
+	for _, job := range jobs {
+		id := cfg.Org.CrossbarID(job.Bank, job.Crossbar)
+		st := states[id]
+		if st == nil {
+			st = &xbarState{
+				bank: job.Bank, xb: job.Crossbar,
+				inj: faults.NewInjector(0, faults.DeriveSeed(cfg.Seed, job.Bank, job.Crossbar)),
+				rng: rand.New(rand.NewSource(faults.DeriveSeed(cfg.Seed^0x10ad, job.Bank, job.Crossbar))),
 			}
-			execJob(cfg, mcfg, kernel, st, job, &res, tel)
+			states[id] = st
 		}
+		execJob(cfg, mcfg, kernel, allRows, mem, st, job, &res, tel)
 	}
 	res.CrossbarsTouched = len(states)
 	for _, st := range states {
-		if st.m != nil {
-			res.Machine = res.Machine.Add(st.m.Stats())
-		}
 		if st.camp != nil {
 			res.Machine = res.Machine.Add(st.camp.Stats())
 			res.Campaign = res.Campaign.Add(st.camp.Tally())
@@ -283,7 +245,7 @@ func runShard(cfg Config, mcfg machine.Config, kernel *synth.Mapping, in <-chan 
 }
 
 // execJob runs one job's ops in order on its crossbar.
-func execJob(cfg Config, mcfg machine.Config, kernel *synth.Mapping, st *xbarState, job Job, res *Result, tel fleetProbes) {
+func execJob(cfg Config, mcfg machine.Config, kernel *synth.Mapping, allRows *bitmat.Vec, mem *pmem.Memory, st *xbarState, job Job, res *Result, tel fleetProbes) {
 	bank := &res.PerBank[job.Bank]
 	res.Jobs++
 	bank.Jobs++
@@ -295,40 +257,36 @@ func execJob(cfg Config, mcfg machine.Config, kernel *synth.Mapping, st *xbarSta
 		bank.Ops++
 		switch op.Kind {
 		case OpSIMD:
-			m := st.machine(mcfg)
-			// Geometry is pre-validated; ExecuteSIMD cannot fail here.
-			if err := m.ExecuteSIMD(kernel, m.MEM().AllRows()); err != nil {
+			// Geometry and addresses are pre-validated; ExecuteSIMD
+			// cannot fail here.
+			if err := mem.ExecuteSIMD(job.Bank, job.Crossbar, kernel, allRows); err != nil {
 				panic(err)
 			}
 			res.SIMDOps++
-			tel.simdOps.Inc()
 		case OpScrub:
-			c, u := st.machine(mcfg).Scrub()
+			c, u := mem.ScrubCrossbar(job.Bank, job.Crossbar)
 			res.Scrubs++
 			res.Corrected += int64(c)
 			res.Uncorrectable += int64(u)
 			bank.Corrected += int64(c)
 			bank.Uncorrectable += int64(u)
-			tel.scrubs.Inc()
-			tel.corrected.Add(int64(c))
-			tel.uncorrectable.Add(int64(u))
 		case OpLoad:
 			n := cfg.Org.CrossbarN
-			row := bitmat.NewVec(n)
-			for i := 0; i < n; i++ {
-				row.Set(i, st.rng.Intn(2) == 0)
-			}
-			st.machine(mcfg).LoadRow(((op.Row%n)+n)%n, row)
+			// The only error is a write-verify verdict under a repair
+			// policy; the machine's repair statistics already count it.
+			_ = mem.AccessRow(job.Bank, job.Crossbar, ((op.Row%n)+n)%n, func(row *bitmat.Vec) bool {
+				for i := 0; i < n; i++ {
+					row.Set(i, st.rng.Intn(2) == 0)
+				}
+				return true
+			})
 			res.Loads++
-			tel.loads.Inc()
 		case OpFaultBurst:
 			st.inj.SER = op.SER
-			m := st.machine(mcfg)
-			flips := st.inj.Inject(m.MEM(), op.Hours)
+			flips := int64(mem.InjectWindow(job.Bank, job.Crossbar, st.inj, op.Hours))
 			res.FaultBursts++
-			res.Injected += int64(len(flips))
-			bank.Injected += int64(len(flips))
-			tel.injected.Add(int64(len(flips)))
+			res.Injected += flips
+			bank.Injected += flips
 		case OpCampaign:
 			rep := st.runner(cfg, mcfg, op).Round()
 			res.CampaignRounds++
@@ -339,7 +297,6 @@ func execJob(cfg Config, mcfg machine.Config, kernel *synth.Mapping, st *xbarSta
 			res.Uncorrectable += rep.Counts[campaign.DetectedUncorrectable]
 			bank.Uncorrectable += rep.Counts[campaign.DetectedUncorrectable]
 			tel.campaignRounds.Inc()
-			tel.injected.Add(int64(rep.Injected))
 			if tel.enabled {
 				for o := 0; o < campaign.NumOutcomes; o++ {
 					tel.outcomes[o].Add(rep.Counts[o])

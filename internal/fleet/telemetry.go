@@ -4,26 +4,20 @@ import (
 	"strconv"
 
 	"repro/internal/campaign"
-	"repro/internal/machine"
 	"repro/internal/telemetry"
 )
 
-// fleetProbes is the fleet engine's telemetry handle set. The zero value
-// is the disabled layer (nil handles no-op). One set is shared by every
-// shard: counter adds commute, so snapshot totals are invariant to the
-// worker count — the same property Result.Merge already guarantees for
-// the report, extended to the live series.
+// fleetProbes is the planner's telemetry handle set: what the memory
+// cannot see (jobs, campaign rounds and their adjudicated outcomes; pmem
+// counts scrubs, computes and injections itself). The zero value is the
+// disabled layer (nil handles no-op). One set is shared by every shard:
+// counter adds commute, so snapshot totals are invariant to the worker
+// count — the same property Result.Merge already guarantees for the
+// report, extended to the live series.
 type fleetProbes struct {
 	enabled bool
 
 	jobs []*telemetry.Counter // per bank: fleet_jobs_total{bank="i"}
-
-	simdOps       *telemetry.Counter
-	loads         *telemetry.Counter
-	scrubs        *telemetry.Counter
-	corrected     *telemetry.Counter
-	uncorrectable *telemetry.Counter
-	injected      *telemetry.Counter
 
 	campaignRounds *telemetry.Counter
 	outcomes       [campaign.NumOutcomes]*telemetry.Counter
@@ -38,12 +32,6 @@ func fleetProbesFor(reg *telemetry.Registry, banks int) fleetProbes {
 	p := fleetProbes{
 		enabled:        true,
 		jobs:           make([]*telemetry.Counter, banks),
-		simdOps:        reg.Counter("fleet_simd_ops_total"),
-		loads:          reg.Counter("fleet_loads_total"),
-		scrubs:         reg.Counter("fleet_scrubs_total"),
-		corrected:      reg.Counter("fleet_corrected_total"),
-		uncorrectable:  reg.Counter("fleet_uncorrectable_total"),
-		injected:       reg.Counter("fleet_injected_total"),
 		campaignRounds: reg.Counter("campaign_rounds_total"),
 	}
 	for b := 0; b < banks; b++ {
@@ -53,21 +41,4 @@ func fleetProbesFor(reg *telemetry.Registry, banks int) fleetProbes {
 		p.outcomes[o] = reg.Counter("campaign_outcomes_total", "outcome", campaign.Outcome(o).String())
 	}
 	return p
-}
-
-// machineTelemetry resolves the probe set a shard attaches to a lazily
-// created machine: per-scheme ECC counters plus the crossbar's identity
-// for event attribution. Unprotected fleets label their (all-zero)
-// series scheme="none".
-func machineTelemetry(reg *telemetry.Registry, cfg Config, bank, xb int) machine.Telemetry {
-	if reg == nil {
-		return machine.Telemetry{}
-	}
-	scheme := "none"
-	if cfg.ECCEnabled {
-		scheme = cfg.machineConfig().SchemeName()
-	}
-	t := machine.TelemetryFor(reg, scheme)
-	t.Bank, t.Xbar = bank, xb
-	return t
 }

@@ -55,36 +55,60 @@ func TestTelemetrySnapshotWorkerInvariant(t *testing.T) {
 // TestTelemetrySeriesMatchResult cross-checks the live series against the
 // Result the same run reports: the counters are a second, independently
 // accumulated account of the identical work, so any disagreement means an
-// instrumentation point is missing or double-counted.
+// instrumentation point is missing or double-counted. MixedScrub covers
+// loads, SIMD and scrubs; FaultStorm covers fault-burst injections.
 func TestTelemetrySeriesMatchResult(t *testing.T) {
-	reg := telemetry.New()
-	cfg := Config{
-		Org: testOrg(), M: 15, K: 2, ECCEnabled: true,
-		Workers: 3, Seed: 42, Telemetry: reg,
-	}
-	res, err := Run(cfg, MixedScrub{Rounds: 2, SIMDPerRound: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	checks := []struct {
-		key  string
-		want int64
-	}{
-		{"fleet_scrubs_total", res.Scrubs},
-		{"fleet_simd_ops_total", res.SIMDOps},
-		{"fleet_corrected_total", res.Corrected},
-		{"fleet_uncorrectable_total", res.Uncorrectable},
-		{`ecc_critical_ops_total{scheme="diagonal"}`, int64(res.Machine.CriticalOps)},
-		{`ecc_input_checks_total{scheme="diagonal"}`, int64(res.Machine.InputChecks)},
-		{`ecc_corrections_total{scheme="diagonal"}`, int64(res.Machine.Corrections)},
-	}
-	for _, c := range checks {
-		if got := snap.Counter(c.key); got != c.want {
-			t.Errorf("%s = %d, want %d (from Result)", c.key, got, c.want)
-		}
-	}
-	if jobs := snap.CounterFamily("fleet_jobs_total"); jobs != res.Jobs {
-		t.Errorf("sum fleet_jobs_total = %d, want %d", jobs, res.Jobs)
+	for _, w := range []Workload{
+		MixedScrub{Rounds: 2, SIMDPerRound: 1},
+		FaultStorm{Bursts: 2},
+	} {
+		t.Run(w.Name(), func(t *testing.T) {
+			reg := telemetry.New()
+			cfg := Config{
+				Org: testOrg(), M: 15, K: 2, ECCEnabled: true,
+				Workers: 3, Seed: 42, Telemetry: reg,
+			}
+			res, err := Run(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			checks := []struct {
+				key  string
+				want int64
+			}{
+				{`ecc_critical_ops_total{scheme="diagonal"}`, int64(res.Machine.CriticalOps)},
+				{`ecc_input_checks_total{scheme="diagonal"}`, int64(res.Machine.InputChecks)},
+				{`ecc_corrections_total{scheme="diagonal"}`, int64(res.Machine.Corrections)},
+			}
+			for _, c := range checks {
+				if got := snap.Counter(c.key); got != c.want {
+					t.Errorf("%s = %d, want %d (from Result)", c.key, got, c.want)
+				}
+			}
+			// Per-bank families: the memory's series summed over banks,
+			// and the planner's own job counter.
+			families := []struct {
+				name string
+				want int64
+			}{
+				{"pmem_scrubs_total", res.Scrubs},
+				{"pmem_compute_total", res.SIMDOps},
+				{"pmem_rmw_total", res.Loads},
+				{"pmem_injected_total", res.Injected},
+				{"pmem_scrub_corrected_total", res.Corrected},
+				{"pmem_scrub_uncorrectable_total", res.Uncorrectable},
+				{"fleet_jobs_total", res.Jobs},
+			}
+			for _, f := range families {
+				if got := snap.CounterFamily(f.name); got != f.want {
+					t.Errorf("sum %s = %d, want %d (from Result)", f.name, got, f.want)
+				}
+			}
+			// Each scenario must exercise the series it is here for.
+			if res.Scrubs == 0 || res.Loads+res.Injected == 0 {
+				t.Fatalf("%s did no scrubs or no loads/injections: %+v", w.Name(), res)
+			}
+		})
 	}
 }

@@ -505,8 +505,8 @@ func (n *Node) electionLoop() {
 // execGrant runs one admitted scrub grant against the owned crossbar.
 func (n *Node) execGrant(g grantMsg) {
 	bank, xb := n.cfg.Org.CrossbarAt(g.Xbar)
-	if bank < n.lo || bank >= n.hi {
-		n.stale.Inc() // misrouted: not ours
+	if g.Xbar < 0 || g.Xbar >= n.cfg.Org.Crossbars() || bank < n.lo || bank >= n.hi {
+		n.stale.Inc() // outside the fleet, or misrouted: not ours
 		return
 	}
 	if !n.rot.admit(g) {

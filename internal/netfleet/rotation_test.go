@@ -169,3 +169,31 @@ func TestScrubRotationCrashRejoin(t *testing.T) {
 	}
 	_ = dead
 }
+
+// TestGrantOutsideFleetIsStale: a grant naming a crossbar outside the
+// organization — a hostile or corrupt frame — is counted stale and never
+// reaches admission, so it can neither crash the node nor raise its epoch
+// floor above the legitimate rotation.
+func TestGrantOutsideFleetIsStale(t *testing.T) {
+	org := testOrg()
+	nodes, _ := startFleet(t, org, 1, func(_ int, c *NodeConfig) {
+		c.Round = time.Hour // no rotation ticks race the hand-fed grants
+	})
+	n := nodes[0]
+	bad := []int{-1, -org.PerBank - 1, org.Crossbars(), org.Crossbars() + org.PerBank}
+	for _, x := range bad {
+		n.execGrant(grantMsg{Epoch: 1 << 40, Xbar: x})
+	}
+	st := n.Stats()
+	if st.StaleGrants != int64(len(bad)) {
+		t.Fatalf("stale grants = %d, want %d", st.StaleGrants, len(bad))
+	}
+	if st.Epoch != 0 || len(st.Grants) != 0 || st.Scrubs != 0 {
+		t.Fatalf("out-of-range grant was admitted: epoch %d, log %v, scrubs %d", st.Epoch, st.Grants, st.Scrubs)
+	}
+	// A legitimate grant still executes after the hostile ones.
+	n.execGrant(grantMsg{Epoch: 1, Xbar: org.Crossbars() - 1})
+	if st := n.Stats(); st.Scrubs != 1 || st.Epoch != 1 {
+		t.Fatalf("legitimate grant after hostile ones: scrubs %d, epoch %d", st.Scrubs, st.Epoch)
+	}
+}

@@ -6,6 +6,16 @@
 // the SER, periodic scrubs run, and the memory either survives (all
 // errors corrected) or reports uncorrectable damage.
 //
+// # Lazy crossbars
+//
+// A crossbar's machine is built on first touch, under its bank's lock:
+// New allocates the same handful of objects for 16 crossbars as for
+// thousands, and a crossbar nothing has touched costs no memory. An
+// unbuilt crossbar is indistinguishable from a freshly built one (all
+// zeros, consistent ECC, no statistics), so every access behaves as if
+// the whole memory had been built up front. Stats and RepairStats sum
+// only the machines built so far; Crossbar builds its machine on demand.
+//
 // # Concurrency
 //
 // Memory is safe for concurrent use through its exported access methods:
@@ -14,8 +24,9 @@
 // contend) while accesses to the same bank serialize. Range operations
 // spanning several banks lock one bank at a time, segment by segment in
 // ascending address order — each segment is applied atomically, the range
-// as a whole is not. Crossbar hands out the raw machine with no
-// synchronization; it is for single-threaded setup and inspection only.
+// as a whole is not. Crossbar takes the bank lock only to build the
+// machine, then hands it out with no synchronization; it is for
+// single-threaded setup and inspection only.
 package pmem
 
 import (
@@ -62,13 +73,16 @@ type Config struct {
 // Memory is a bank-organized set of protected crossbars.
 type Memory struct {
 	cfg   Config
-	xbs   []*machine.Machine // flattened [bank*PerBank + crossbar]
+	mcfg  machine.Config     // every crossbar's machine, validated by New
+	xbs   []*machine.Machine // flattened [bank*PerBank + crossbar]; nil until first touch
 	banks []sync.Mutex       // one lock per bank, guarding its crossbars
 
 	// tel holds per-bank probes (nil slice = telemetry off); ring is the
-	// shared event trace. Attached by Instrument.
+	// shared event trace; mtel is the per-scheme machine probe set every
+	// crossbar gets, built or not yet. Attached by Instrument.
 	tel  []bankProbes
 	ring *telemetry.Ring
+	mtel machine.Telemetry
 }
 
 // bankProbes is one bank's counter set. All handles no-op when nil, so
@@ -87,14 +101,13 @@ type bankProbes struct {
 // Instrument attaches a telemetry registry: per-bank access/RMW/scrub
 // counter series (labeled bank="i"), scrub and injection events on the
 // registry's ring, and the per-scheme machine probes (ecc_*_total) on
-// every crossbar. Call before serving traffic — attaching is not
-// synchronized with concurrent access. A nil registry detaches.
+// every crossbar, including those built later. Call before serving
+// traffic — attaching is not synchronized with concurrent access. A nil
+// registry detaches.
 func (m *Memory) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
-		m.tel, m.ring = nil, nil
-		for _, xb := range m.xbs {
-			xb.Instrument(machine.Telemetry{})
-		}
+		m.tel, m.ring, m.mtel = nil, nil, machine.Telemetry{}
+		m.eachBuilt(m.instrument)
 		return
 	}
 	m.tel = make([]bankProbes, m.cfg.Org.Banks)
@@ -114,13 +127,18 @@ func (m *Memory) Instrument(reg *telemetry.Registry) {
 	}
 	scheme := "none"
 	if m.cfg.ECCEnabled {
-		scheme = (machine.Config{Scheme: m.cfg.Scheme}).SchemeName()
+		scheme = m.mcfg.SchemeName()
 	}
-	m.cfg.Org.ForEachCrossbar(func(bank, xb int) {
-		t := machine.TelemetryFor(reg, scheme)
-		t.Bank, t.Xbar = bank, xb
-		m.at(bank, xb).Instrument(t)
-	})
+	m.mtel = machine.TelemetryFor(reg, scheme)
+	m.eachBuilt(m.instrument)
+}
+
+// instrument attaches the machine probes to one crossbar, giving it its
+// identity for event attribution.
+func (m *Memory) instrument(bank, xb int, mach *machine.Machine) {
+	t := m.mtel
+	t.Bank, t.Xbar = bank, xb
+	mach.Instrument(t)
 }
 
 // probe returns the bank's probe set (the zero value when detached).
@@ -131,62 +149,91 @@ func (m *Memory) probe(bank int) bankProbes {
 	return m.tel[bank]
 }
 
-// New builds the memory. All crossbars start zeroed with consistent ECC.
+// New builds the memory. All crossbars start zeroed with consistent ECC;
+// their machines are built on first touch.
 func New(cfg Config) (*Memory, error) {
 	if err := cfg.Org.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ECCEnabled && cfg.Org.CrossbarN%cfg.M != 0 {
-		return nil, fmt.Errorf("pmem: block side %d does not divide crossbar side %d", cfg.M, cfg.Org.CrossbarN)
+	mcfg := machine.Config{
+		N: cfg.Org.CrossbarN, M: cfg.M, K: cfg.K, ECCEnabled: cfg.ECCEnabled,
+		Scheme: cfg.Scheme, Repair: cfg.Repair,
 	}
-	m := &Memory{
+	if err := mcfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &Memory{
 		cfg:   cfg,
+		mcfg:  mcfg,
 		xbs:   make([]*machine.Machine, cfg.Org.Crossbars()),
 		banks: make([]sync.Mutex, cfg.Org.Banks),
-	}
-	for i := range m.xbs {
-		xb, err := machine.New(machine.Config{
-			N: cfg.Org.CrossbarN, M: cfg.M, K: cfg.K, ECCEnabled: cfg.ECCEnabled,
-			Scheme: cfg.Scheme, Repair: cfg.Repair,
-		})
-		if err != nil {
-			return nil, err
+	}, nil
+}
+
+// eachBuilt calls fn on every crossbar built so far, holding its bank's
+// lock.
+func (m *Memory) eachBuilt(fn func(bank, xb int, mach *machine.Machine)) {
+	per := m.cfg.Org.PerBank
+	for b := range m.banks {
+		m.banks[b].Lock()
+		for x, mach := range m.xbs[b*per : (b+1)*per] {
+			if mach != nil {
+				fn(b, x, mach)
+			}
 		}
-		// Each crossbar owns a defect set: stuck-at faults injected by
-		// the model-based overlay land here and re-assert on every write
-		// (an empty set costs nothing). With repair enabled, write-verify
-		// observes them and retirement evicts them.
-		xb.AttachDefects(faults.NewStuckSet())
-		m.xbs[i] = xb
+		m.banks[b].Unlock()
 	}
-	return m, nil
+}
+
+// Stats sums the machine statistics of every crossbar built so far (an
+// untouched crossbar has done no work).
+func (m *Memory) Stats() machine.Stats {
+	var s machine.Stats
+	m.eachBuilt(func(_, _ int, mach *machine.Machine) { s = s.Add(mach.Stats()) })
+	return s
 }
 
 // RepairStats aggregates the repair-layer activity of every crossbar
 // (zero with the repair policy off).
 func (m *Memory) RepairStats() repair.Stats {
 	var s repair.Stats
-	for b := 0; b < m.cfg.Org.Banks; b++ {
-		m.banks[b].Lock()
-		for x := 0; x < m.cfg.Org.PerBank; x++ {
-			s = s.Add(m.at(b, x).RepairStats())
-		}
-		m.banks[b].Unlock()
-	}
+	m.eachBuilt(func(_, _ int, mach *machine.Machine) { s = s.Add(mach.RepairStats()) })
 	return s
 }
 
 // Config returns the memory configuration.
 func (m *Memory) Config() Config { return m.cfg }
 
-// Crossbar returns the machine holding the given flat crossbar index.
-// The machine is returned without synchronization — callers own the
-// coordination (single-threaded setup, or an externally quiesced memory).
-func (m *Memory) Crossbar(i int) *machine.Machine { return m.xbs[i] }
+// MachineConfig returns the validated configuration every crossbar's
+// machine is built from.
+func (m *Memory) MachineConfig() machine.Config { return m.mcfg }
 
-// at returns the machine at (bank, crossbar-in-bank).
+// Crossbar returns the machine holding the given flat crossbar index,
+// building it under the bank lock if nothing has touched it yet. The
+// machine is returned without synchronization — callers own the
+// coordination (single-threaded setup, or an externally quiesced memory).
+func (m *Memory) Crossbar(i int) *machine.Machine {
+	bank, xb := m.cfg.Org.CrossbarAt(i)
+	m.banks[bank].Lock()
+	defer m.banks[bank].Unlock()
+	return m.at(bank, xb)
+}
+
+// at returns the machine at (bank, crossbar-in-bank), building it on
+// first touch. The caller holds the bank lock.
 func (m *Memory) at(bank, xb int) *machine.Machine {
-	return m.xbs[m.cfg.Org.CrossbarID(bank, xb)]
+	i := m.cfg.Org.CrossbarID(bank, xb)
+	if m.xbs[i] == nil {
+		mach := machine.MustNew(m.mcfg) // validated in New
+		// Each crossbar owns a defect set: stuck-at faults injected by
+		// the model-based overlay land here and re-assert on every write
+		// (an empty set costs nothing). With repair enabled, write-verify
+		// observes them and retirement evicts them.
+		mach.AttachDefects(faults.NewStuckSet())
+		m.instrument(bank, xb, mach)
+		m.xbs[i] = mach
+	}
+	return m.xbs[i]
 }
 
 // checkSpan validates the bit range [bit, bit+nbits) against the memory.
@@ -388,31 +435,6 @@ func (m *Memory) readSegments(bit, nbits int64, dst []uint64) error {
 	})
 }
 
-// LoadPattern fills the memory's first `bits` positions from a seeded
-// generator (for campaign setup) and returns a verifier closure.
-func (m *Memory) LoadPattern(bits int64, seed int64) (verify func() (bad int64), err error) {
-	// A cheap deterministic pattern: bit i = mixed hash of (i, seed).
-	val := func(i int64) bool {
-		x := uint64(i)*2654435761 + uint64(seed)
-		x ^= x >> 33
-		return x&1 != 0
-	}
-	for i := int64(0); i < bits; i++ {
-		if err := m.WriteBit(i, val(i)); err != nil {
-			return nil, err
-		}
-	}
-	return func() (bad int64) {
-		for i := int64(0); i < bits; i++ {
-			got, err := m.ReadBit(i)
-			if err != nil || got != val(i) {
-				bad++
-			}
-		}
-		return bad
-	}, nil
-}
-
 // ScrubCrossbar runs the periodic check over one crossbar, holding its
 // bank's lock — the unit the serving layer's scrub scheduler admits
 // between request batches.
@@ -494,32 +516,4 @@ func (m *Memory) InjectModel(bank, xb int, model faults.Model, rng *rand.Rand, h
 			bank, xb, int64(cells), 0)
 	}
 	return cells
-}
-
-// CampaignResult summarizes one error-injection window.
-type CampaignResult struct {
-	Injected      int
-	Corrected     int
-	Uncorrectable int
-	DataIntact    bool
-}
-
-// RunWindow models one checking period: soft errors are injected across
-// the whole memory at the given SER for `hours` of exposure, then the
-// periodic scrub runs. verify (from LoadPattern) is used to confirm data
-// integrity afterwards.
-func (m *Memory) RunWindow(ser, hours float64, seed int64, verify func() int64) CampaignResult {
-	inj := faults.NewInjector(ser, seed)
-	injected := 0
-	m.cfg.Org.ForEachCrossbar(func(bank, xb int) {
-		injected += m.InjectWindow(bank, xb, inj, hours)
-	})
-	corrected, unc := m.ScrubAll()
-	res := CampaignResult{
-		Injected: injected, Corrected: corrected, Uncorrectable: unc,
-	}
-	if verify != nil {
-		res.DataIntact = verify() == 0
-	}
-	return res
 }

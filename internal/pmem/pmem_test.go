@@ -3,9 +3,12 @@ package pmem
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/machine"
 	"repro/internal/mmpu"
 )
 
@@ -72,6 +75,46 @@ func TestOutOfRangeAddress(t *testing.T) {
 	}
 }
 
+// loadPattern writes a deterministic pseudo-random image into the
+// memory's first bits positions and returns it.
+func loadPattern(t *testing.T, m *Memory, bits, seed int64) []uint64 {
+	t.Helper()
+	img := make([]uint64, (bits+63)/64)
+	for i := int64(0); i < bits; i++ {
+		x := uint64(i)*2654435761 + uint64(seed)
+		img[i>>6] |= (x ^ x>>33) & 1 << (i & 63)
+	}
+	if err := m.WriteRange(0, img, bits); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// windowResult summarizes one checking window.
+type windowResult struct {
+	Injected, Corrected, Uncorrectable int
+	DataIntact                         bool // the loaded image reads back unchanged
+}
+
+// runWindow models one checking period: soft errors at the given SER
+// for hours of exposure on every crossbar, then the periodic scrub, then
+// a read-back of the image loadPattern wrote.
+func runWindow(t *testing.T, m *Memory, img []uint64, bits int64, ser, hours float64, seed int64) windowResult {
+	t.Helper()
+	inj := faults.NewInjector(ser, seed)
+	var res windowResult
+	m.Config().Org.ForEachCrossbar(func(bank, xb int) {
+		res.Injected += m.InjectWindow(bank, xb, inj, hours)
+	})
+	res.Corrected, res.Uncorrectable = m.ScrubAll()
+	got, err := m.ReadRange(0, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.DataIntact = slices.Equal(got, img)
+	return res
+}
+
 func TestCampaignWindowSurvivesSparseErrors(t *testing.T) {
 	// One checking window at an SER low enough that blocks see ≤1 error:
 	// all errors corrected, data intact — the per-window success event of
@@ -81,14 +124,11 @@ func TestCampaignWindowSurvivesSparseErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bits = 4 * 45 * 45
-	verify, err := m.LoadPattern(bits, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := loadPattern(t, m, bits, 7)
 	// ser·hours/1e9 ≈ 5e-4 per bit → ~4 errors over 8100 bits, spread
 	// across the 36 blocks (seeded deterministically so no two errors
 	// share a block).
-	res := m.RunWindow(5e2, 1e3, 42, verify)
+	res := runWindow(t, m, img, bits, 5e2, 1e3, 42)
 	if res.Injected == 0 {
 		t.Fatal("campaign injected nothing — not meaningful")
 	}
@@ -109,11 +149,8 @@ func TestCampaignWindowBaselineCorrupts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bits = 4 * 45 * 45
-	verify, err := m.LoadPattern(bits, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := m.RunWindow(1e3, 1e3, 42, verify)
+	img := loadPattern(t, m, bits, 7)
+	res := runWindow(t, m, img, bits, 1e3, 1e3, 42)
 	if res.Injected == 0 {
 		t.Fatal("nothing injected")
 	}
@@ -132,12 +169,10 @@ func TestDenseErrorsFlaggedUncorrectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verify, err := m.LoadPattern(4*45*45, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const bits = 4 * 45 * 45
+	img := loadPattern(t, m, bits, 3)
 	// ~5% of bits flip: nearly every block has ≥2 errors.
-	res := m.RunWindow(5e7, 1e3, 9, verify)
+	res := runWindow(t, m, img, bits, 5e7, 1e3, 9)
 	if res.Uncorrectable == 0 {
 		t.Fatalf("dense damage not flagged: %+v", res)
 	}
@@ -151,12 +186,10 @@ func TestRepeatedWindowsStayConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verify, err := m.LoadPattern(4*45*45, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const bits = 4 * 45 * 45
+	img := loadPattern(t, m, bits, 11)
 	for w := 0; w < 5; w++ {
-		res := m.RunWindow(5e2, 1e3, int64(100+w), verify)
+		res := runWindow(t, m, img, bits, 5e2, 1e3, int64(100+w))
 		if !res.DataIntact || res.Uncorrectable != 0 {
 			t.Fatalf("window %d: %+v", w, res)
 		}
@@ -178,6 +211,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	bad.Org.CrossbarN = 0
 	if _, err := New(bad); err == nil {
 		t.Fatal("zero crossbar accepted")
+	}
+	bad = smallCfg(true)
+	bad.M = 0
+	if _, err := New(bad); err == nil {
+		t.Fatal("zero block side accepted")
 	}
 }
 
@@ -273,5 +311,44 @@ func TestRangeRoundTripAcrossBoundaries(t *testing.T) {
 		if !m.Crossbar(i).CheckConsistent() {
 			t.Fatalf("crossbar %d ECC stale after range write", i)
 		}
+	}
+}
+
+// TestNewAllocsIndependentOfCrossbars: machines are built on first touch,
+// so building a 4,096-crossbar memory allocates no more than a
+// 16-crossbar one.
+func TestNewAllocsIndependentOfCrossbars(t *testing.T) {
+	allocs := func(org mmpu.Organization) float64 {
+		cfg := smallCfg(true)
+		cfg.Org = org
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(mmpu.Custom(45, 4, 4)), allocs(mmpu.Custom(45, 64, 64))
+	if large != small {
+		t.Fatalf("New allocates %.0f objects for 4096 crossbars, %.0f for 16", large, small)
+	}
+}
+
+// TestStatsSumBuiltCrossbars: an untouched memory reports zero work, and
+// Stats sums exactly the crossbars that were touched.
+func TestStatsSumBuiltCrossbars(t *testing.T) {
+	m, err := New(smallCfg(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Stats(); s != (machine.Stats{}) {
+		t.Fatalf("untouched memory reports %+v", s)
+	}
+	if err := m.WriteWord(0, 0xabc, 12); err != nil {
+		t.Fatal(err)
+	}
+	m.ScrubCrossbar(1, 1)
+	want := m.Crossbar(0).Stats().Add(m.Crossbar(3).Stats())
+	if got := m.Stats(); got != want || got.MEMCycles == 0 {
+		t.Fatalf("Stats = %+v, want %+v (crossbars 0 and 3)", got, want)
 	}
 }

@@ -83,3 +83,33 @@ func TestInstrumentCountsPerBank(t *testing.T) {
 		t.Errorf("detached memory still counted: %d", got)
 	}
 }
+
+// TestInstrumentReachesLazyCrossbars: machines built before Instrument and
+// machines built after it both report into the registry, each with its
+// own bank/crossbar attribution on the event ring.
+func TestInstrumentReachesLazyCrossbars(t *testing.T) {
+	mem, err := New(smallCfg(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := mem.Crossbar(mem.Config().Org.CrossbarID(0, 1)) // built before Instrument
+	reg := telemetry.New()
+	mem.Instrument(reg)
+	early.InjectDataFault(3, 4)
+	mem.Crossbar(mem.Config().Org.CrossbarID(1, 1)).InjectDataFault(5, 6) // built after
+	if c, u := mem.ScrubAll(); c != 2 || u != 0 {
+		t.Fatalf("scrub corrected %d (uncorrectable %d), want 2 single-bit corrections", c, u)
+	}
+	if got := reg.Snapshot().Counter(`ecc_corrections_total{scheme="diagonal"}`); got != 2 {
+		t.Errorf("ecc_corrections_total = %d, want 2", got)
+	}
+	seen := map[[2]int32]bool{}
+	for _, e := range reg.Events().Recent(0) {
+		if e.Kind == telemetry.EvCorrection {
+			seen[[2]int32{e.Bank, e.Xbar}] = true
+		}
+	}
+	if len(seen) != 2 || !seen[[2]int32{0, 1}] || !seen[[2]int32{1, 1}] {
+		t.Errorf("correction events attributed to %v, want (0,1) and (1,1)", seen)
+	}
+}
